@@ -43,6 +43,7 @@ pub mod colocate;
 mod compare;
 mod config;
 mod dedup;
+mod digest;
 pub mod journal;
 pub mod json;
 mod metrics;
@@ -66,13 +67,14 @@ pub use config::{
 };
 pub use dedup::{DedupIndex, DupLookup, WriteOutcome};
 pub use dewrite_mem::Replacement;
+pub use digest::Digester;
 pub use journal::MetaOp;
 pub use json::Json;
 pub use metrics::RunReport;
 pub use predictor::HistoryPredictor;
 pub use schemes::{
     BaseMetrics, CmeBaseline, DeWrite, DeWriteCacheStats, DeWriteMetrics, ReadResult, SecureMemory,
-    SilentShredder, TraditionalDedup, WriteResult,
+    SilentShredder, TraditionalDedup, WriteResult, MAX_CANDIDATE_COMPARES,
 };
 pub use sim::Simulator;
 pub use snapshot::{Snapshot, MAX_SNAPSHOT_LINES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

@@ -28,28 +28,26 @@ use std::collections::HashMap;
 use dewrite_crypto::{
     aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
 };
-use dewrite_hashes::{HashAlgorithm, LineHasher, StrongKeyed, StrongScratch};
 use dewrite_mem::CacheStats;
-use dewrite_nvm::{LineAddr, NvmDevice, NvmError, Timing};
+use dewrite_nvm::{EnergyParams, LineAddr, NvmDevice, NvmError, Timing};
 
 use crate::compare::lines_equal;
 use crate::config::{DeWriteConfig, DigestMode, MetadataPersistence, SystemConfig, WriteMode};
 use crate::dedup::{DedupIndex, WriteOutcome};
+use crate::digest::Digester;
 use crate::journal::MetaOp;
 use crate::predictor::HistoryPredictor;
 use crate::schemes::{BaseMetrics, MetaTable, ReadResult, SecureMemory, WriteResult};
 use crate::tables::MAX_REFERENCE;
 use crate::trace::{EventSink, Stage, WriteEvent, WritePath};
 
-/// Energy of one hardware line comparison, pJ.
-const COMPARE_ENERGY_PJ: u64 = 30;
-
-/// Upper bound on candidate lines examined per duplicate confirmation.
-/// The dedup logic is a fixed pipeline, not a list walker: after this many
-/// mismatching (or saturated) candidates the write is treated as
-/// non-duplicate. Real CRC collisions make buckets of 2 at most; deeper
-/// buckets only arise when a saturated content accumulates extra copies.
-const MAX_CANDIDATE_COMPARES: usize = 4;
+/// Upper bound on candidate lines examined per duplicate confirmation
+/// (§III-B2: bounded verify cost). The dedup logic is a fixed pipeline, not
+/// a list walker: after this many mismatching (or saturated) candidates the
+/// write is treated as non-duplicate. Real CRC collisions make buckets of 2
+/// at most; deeper buckets only arise when a saturated content accumulates
+/// extra copies.
+pub const MAX_CANDIDATE_COMPARES: usize = 4;
 
 /// DeWrite-specific counters beyond [`BaseMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -124,11 +122,7 @@ pub struct DeWrite {
     dw: DeWriteConfig,
     device: NvmDevice,
     engine: CounterModeEngine,
-    hasher: Box<dyn LineHasher>,
-    /// Strong keyed digest (per-run key derived from the encryption key)
-    /// plus its per-controller scratch state; `Some` iff the digest mode is
-    /// [`DigestMode::StrongKeyed`].
-    strong: Option<(StrongKeyed, StrongScratch)>,
+    digester: Digester,
     index: DedupIndex,
     counters: HashMap<u64, LineCounter>,
     predictor: HistoryPredictor,
@@ -156,7 +150,7 @@ impl std::fmt::Debug for DeWrite {
         f.debug_struct("DeWrite")
             .field("mode", &self.dw.mode)
             .field("pna", &self.dw.pna)
-            .field("hasher", &self.hasher.algorithm())
+            .field("hasher", &self.digester.algorithm())
             .field("writes", &self.metrics.writes)
             .finish_non_exhaustive()
     }
@@ -335,9 +329,7 @@ impl DeWrite {
 
         DeWrite {
             engine: CounterModeEngine::new(key),
-            hasher: dw.hasher.hasher(),
-            strong: (dw.digest_mode == DigestMode::StrongKeyed)
-                .then(|| (StrongKeyed::derive(key), StrongScratch::new())),
+            digester: Digester::new(dw.hasher, dw.digest_mode, key),
             index,
             counters,
             predictor: HistoryPredictor::new(dw.history_bits),
@@ -412,7 +404,7 @@ impl DeWrite {
                 }
             }
             if let Some(digest) = self.index.digest_of(line) {
-                store.set_resident_hash(line, Some(Self::fold_digest(digest)));
+                store.set_resident_hash(line, Some(Digester::fold(digest)));
             }
         }
         for (&line, &counter) in &self.counters {
@@ -448,7 +440,7 @@ impl DeWrite {
                 .digest_of(real)
                 .ok_or_else(|| format!("{init} resolves to non-resident {real}"))?;
             let plaintext = self.plaintext_of(real)?;
-            let actual = self.compute_digest_readonly(&plaintext);
+            let actual = self.digester.digest_readonly(&plaintext);
             if actual != expected_digest {
                 return Err(format!(
                     "line {real}: stored content hashes to {actual:#x}, \
@@ -546,41 +538,6 @@ impl DeWrite {
         &self.index
     }
 
-    /// Fold a 64-bit fingerprint into a 32-bit value: the hash-table key in
-    /// CRC mode (zero-extended back to `u64`), and the 4-byte colocated
-    /// inverted-row digest in both modes (§III-C fixes that slot at 32
-    /// bits). For zero-extended CRC digests the fold is the identity.
-    fn fold_digest(d: u64) -> u32 {
-        (d ^ (d >> 32)) as u32
-    }
-
-    /// The index digest of `data` under the configured digest mode: the
-    /// folded light hash zero-extended, or the 64-bit strong keyed tag.
-    fn compute_digest(&mut self, data: &[u8]) -> u64 {
-        match self.strong.as_mut() {
-            Some((strong, scratch)) => strong.digest_with(data, scratch),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// [`compute_digest`](Self::compute_digest) without touching controller
-    /// state (cold paths: scrub uses a throwaway scratch).
-    fn compute_digest_readonly(&self, data: &[u8]) -> u64 {
-        match self.strong.as_ref() {
-            Some((strong, _)) => strong.digest_with(data, &mut StrongScratch::new()),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// The hardware cost charged per fingerprint under the configured mode.
-    fn digest_cost(&self) -> dewrite_hashes::HashCost {
-        if self.strong.is_some() {
-            HashAlgorithm::StrongKeyed.cost()
-        } else {
-            self.hasher.cost()
-        }
-    }
-
     /// Decrypt the resident line `real` without timing side effects
     /// (used for byte comparison; timing is charged by the caller).
     ///
@@ -632,7 +589,7 @@ impl DeWrite {
             })
             .take(MAX_CANDIDATE_COMPARES)
             .collect();
-        if self.strong.is_some() {
+        if self.digester.mode() == DigestMode::StrongKeyed {
             // Verify-free: every candidate already matched the full stored
             // tag, so the first live one *is* the duplicate. Detection
             // resolves at the hash-store query; the array is never read.
@@ -669,7 +626,7 @@ impl DeWrite {
                     content
                 }
             };
-            self.device.charge_dedup_pj(COMPARE_ENERGY_PJ);
+            self.device.charge_dedup_pj(EnergyParams::PCM.compare_pj);
             // Per the paper's accounting (§IV-D), dedup-logic energy is the
             // CRC + comparison only: the candidate's pad is assumed
             // regenerable from its colocated counter while the array read is
@@ -820,9 +777,9 @@ impl SecureMemory for DeWrite {
 
         // 1. Fingerprint: the light hash (15 ns), or the strong keyed tag
         // (40 ns) whose match needs no verification.
-        let cost = self.digest_cost();
+        let cost = self.digester.cost();
         let digest_ns = cost.latency_ns;
-        let digest = self.compute_digest(data);
+        let digest = self.digester.digest(data);
         let hash_done = now_ns + digest_ns;
         self.metrics.hash_ops += 1;
         self.device.charge_dedup_pj(cost.energy_pj);

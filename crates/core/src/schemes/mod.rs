@@ -19,7 +19,7 @@ mod shredder;
 mod traditional;
 
 pub use cme::CmeBaseline;
-pub use dewrite::{DeWrite, DeWriteCacheStats, DeWriteMetrics};
+pub use dewrite::{DeWrite, DeWriteCacheStats, DeWriteMetrics, MAX_CANDIDATE_COMPARES};
 pub use shredder::SilentShredder;
 pub use traditional::TraditionalDedup;
 

@@ -1,21 +1,23 @@
-//! The sharded memory-controller service: request routing, bounded
-//! per-shard queues with back-pressure, worker lifecycle, and the
-//! deterministic report merge.
+//! The in-process entry point: [`run`] replays one fixed trace through
+//! the sharded engine and folds the results, plus the configuration and
+//! result types both entry points share.
 //!
 //! # Concurrency model
 //!
-//! One or more producer threads route trace records to their owning
-//! shards (`addr mod shards`) and push them onto the shards' bounded
-//! [`ArrayQueue`]s in amortized batches ([`ArrayQueue::push_batch`]: one
-//! reserve CAS per batch, not per request); a full queue exerts
-//! **back-pressure** (the producer spins, yields, then sleep-parks with an
-//! exponentially growing pause, and the blocked time is surfaced as
-//! [`ShardSummary::producer_stall_ns`]). One worker thread per shard owns
-//! its [`ShardController`] exclusively and drains up to
-//! [`EngineConfig::batch`] requests per wakeup ([`ArrayQueue::pop_batch`]).
-//! Queue claims are lock-free CAS operations and FSM allocation inside the
-//! controller is an atomic-bitmap word scan — no mutex anywhere on the
-//! hot path.
+//! [`run`] is a producer over [`EngineService`]: one or more producer
+//! threads route trace records to their owning shards (`addr mod
+//! shards`), stamp each with its per-shard sequence number, and submit
+//! them in amortized chunks ([`EngineService::push_batch`]: one reserve
+//! CAS per chunk, not per request). A full queue exerts **back-pressure**
+//! (the producer spins, yields, then sleep-parks with an exponentially
+//! growing pause, and the blocked time is surfaced as
+//! [`ShardSummary::producer_stall_ns`]). The service runs one worker
+//! thread per shard that owns its [`ShardController`] exclusively and
+//! drains up to [`EngineConfig::batch`] requests per wakeup. `run` asks
+//! for no answers (the service has no completion lanes); it learns the
+//! outcome from [`EngineService::shutdown`]'s drain. Queue claims are
+//! lock-free CAS operations and FSM allocation inside the controller is an
+//! atomic word scan — no mutex anywhere on the hot path.
 //!
 //! # Determinism
 //!
@@ -23,28 +25,28 @@
 //! producer `s mod producers`), each producer walks its slice of the trace
 //! in order, and per-shard staging buffers are flushed FIFO — so every
 //! shard receives its subsequence of the trace in order regardless of
-//! producer count, batch size, or scheduling; each shard's simulated
-//! [`RunReport`] is therefore a pure function of `(trace, seed, shard
-//! count, coalescing window)`. Folding the per-shard reports **in shard
-//! order** ([`RunReport::merge_all`]) yields a bit-identical merged
-//! report across repeated multi-threaded runs. Host-side measurements
-//! (wall clock, queue depths, host latency percentiles, producer stalls)
-//! are inherently non-deterministic and are kept in [`ShardSummary`] /
-//! [`EngineRun`] fields separate from the merged simulated report.
+//! producer count, batch size, or scheduling, and applies it without
+//! touching the reorder buffer. Each shard's simulated [`RunReport`] is
+//! therefore a pure function of `(trace, seed, shard count, coalescing
+//! window)`. Folding the per-shard reports **in shard order**
+//! ([`RunReport::merge_all`]) yields a bit-identical merged report across
+//! repeated multi-threaded runs. Host-side measurements (wall clock, queue
+//! depths, host latency percentiles, producer stalls) are inherently
+//! non-deterministic and are kept in [`ShardSummary`] / [`EngineRun`]
+//! fields separate from the merged simulated report.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam_queue::ArrayQueue;
 use dewrite_core::tables::MAX_REFERENCE;
 use dewrite_core::{DigestMode, RunReport};
 use dewrite_mem::{CacheStats, LatencyHistogram, Replacement};
+use dewrite_nvm::FsmStats;
 use dewrite_trace::{shard_of_line, TraceOp, TraceRecord};
 
-use dewrite_nvm::FsmStats;
-
-use crate::shard::{FsmPolicy, ShardController};
+use crate::service::{EngineService, ServiceOp, ServiceRequest};
+use crate::shard::FsmPolicy;
+#[cfg(doc)]
+use crate::shard::ShardController;
 
 /// How the producer issues requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +80,7 @@ pub struct EngineConfig {
     /// Producer pacing mode.
     pub pacing: Pacing,
     /// Run a full cross-table [`ShardController::scrub`] on every shard
-    /// after the drain.
+    /// at the end of the drain, into [`ShardSummary::scrub`].
     pub scrub: bool,
     /// Requests a worker drains per wakeup, and the producers' staging
     /// chunk (clamped to `queue_depth`). 1 reproduces the one-at-a-time
@@ -106,9 +108,8 @@ pub struct EngineConfig {
     pub persist_sync: bool,
     /// Per-shard free-space-manager policy
     /// ([`ShardController::set_fsm_policy`]). The default
-    /// [`FsmPolicy::Tree`] is placement-identical to [`FsmPolicy::Flat`],
-    /// so the merged simulated report is bit-identical between the two;
-    /// [`FsmPolicy::TreeWear`] trades that identity for reservation-local
+    /// [`FsmPolicy::Tree`] places exactly where a flat bitmap scan would;
+    /// [`FsmPolicy::TreeWear`] trades that placement for reservation-local
     /// claims and wear rotation.
     pub fsm: FsmPolicy,
     /// Per-shard metadata-cache eviction policy
@@ -173,16 +174,6 @@ impl EngineConfig {
     }
 }
 
-/// One queued request: a trace record plus its issue timestamp (ns since
-/// run start) for host-latency accounting.
-#[derive(Debug)]
-pub struct Request {
-    /// The operation.
-    pub rec: TraceRecord,
-    /// Nanoseconds since run start when the producer issued it.
-    pub issued_ns: u64,
-}
-
 /// Everything one shard produced.
 #[derive(Debug)]
 pub struct ShardSummary {
@@ -204,7 +195,7 @@ pub struct ShardSummary {
     /// full queue (non-deterministic).
     pub producer_stall_ns: u64,
     /// Allocator counters — claims, reservation refills, steals, scan
-    /// steps (all-zero under [`FsmPolicy::Flat`]).
+    /// steps.
     pub fsm: FsmStats,
     /// Metadata-cache counters (deterministic: the cache sees the shard's
     /// digest stream in trace order). The small/main/ghost/scan fields
@@ -252,7 +243,8 @@ impl EngineRun {
     }
 }
 
-/// Spin briefly, then yield: progress even on a single hardware thread.
+/// Spin briefly, then yield, never sleep: the open-loop pacing wait, which
+/// must not oversleep its issue instant.
 fn backoff(spins: &mut u32) {
     if *spins < 64 {
         *spins += 1;
@@ -308,12 +300,17 @@ impl Backoff {
     }
 }
 
-/// Push every staged request, in order, blocking while the queue is full.
-/// Time spent blocked accrues to `stall_ns`.
-fn flush_to_queue(queue: &ArrayQueue<Request>, staged: &mut Vec<Request>, stall_ns: &mut u64) {
+/// Submit every staged request to `shard`, in order, blocking while its
+/// queue is full. Time spent blocked accrues to `stall_ns`.
+fn flush_staged(
+    svc: &EngineService,
+    shard: usize,
+    staged: &mut Vec<ServiceRequest>,
+    stall_ns: &mut u64,
+) {
     let mut parker = Backoff::new();
     while !staged.is_empty() {
-        if queue.push_batch(staged) == 0 {
+        if svc.push_batch(shard, staged) == 0 {
             let blocked = Instant::now();
             parker.wait();
             *stall_ns += blocked.elapsed().as_nanos() as u64;
@@ -323,29 +320,67 @@ fn flush_to_queue(queue: &ArrayQueue<Request>, staged: &mut Vec<Request>, stall_
     }
 }
 
+/// One producer: walk `feed` (records with their global trace index) in
+/// order, stamp each with its per-shard sequence number, and submit
+/// `chunk` requests at a time per shard. Returns the time blocked on each
+/// shard's full queue.
+fn produce(
+    svc: &EngineService,
+    pacing: Pacing,
+    chunk: usize,
+    feed: Vec<(u64, TraceRecord)>,
+) -> Vec<u64> {
+    let shards = svc.shards();
+    let mut stalls = vec![0u64; shards];
+    let mut seqs = vec![0u64; shards];
+    let mut staged: Vec<Vec<ServiceRequest>> = (0..shards).map(|_| Vec::new()).collect();
+    for (issued, rec) in feed {
+        if let Pacing::Open { ops_per_sec } = pacing {
+            let target_ns = (issued as f64 / ops_per_sec * 1e9) as u64;
+            let mut spins = 0u32;
+            while svc.elapsed_ns() < target_ns {
+                backoff(&mut spins);
+            }
+        }
+        let shard = shard_of_line(rec.op.addr(), shards);
+        let gap = rec.gap_instructions;
+        let op = match rec.op {
+            TraceOp::Write { addr, data } => ServiceOp::Write { addr, data, gap },
+            TraceOp::Read { addr } => ServiceOp::Read { addr, gap },
+        };
+        staged[shard].push(ServiceRequest {
+            shard,
+            seq: seqs[shard],
+            lane: 0,
+            conn: 0,
+            conn_seq: 0,
+            issued_ns: svc.elapsed_ns(),
+            op,
+        });
+        seqs[shard] += 1;
+        if staged[shard].len() >= chunk {
+            flush_staged(svc, shard, &mut staged[shard], &mut stalls[shard]);
+        }
+    }
+    for (shard, buf) in staged.iter_mut().enumerate() {
+        flush_staged(svc, shard, buf, &mut stalls[shard]);
+    }
+    stalls
+}
+
 /// Run `records` through `config.shards` controller shards and fold the
 /// results.
 ///
 /// # Panics
 ///
-/// Panics if a shard worker panics (e.g. arena exhaustion) or the config
-/// is invalid.
+/// Panics if a shard worker panics (e.g. arena exhaustion), a request is
+/// lost, or the config is invalid.
 pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> EngineRun {
+    // No completion lanes: the workers answer nothing, and the drain's
+    // op count shows every request applied.
+    let svc = EngineService::start(config, app, 0, 0);
     let shards = config.shards;
-    assert!(shards > 0, "need at least one shard");
-    assert!(
-        config.queue_depth > 0,
-        "queues must hold at least one request"
-    );
-    assert!(config.batch > 0, "workers must drain at least one request");
     let producers = config.effective_producers();
-    let batch = config.batch;
-
-    let queues: Vec<Arc<ArrayQueue<Request>>> = (0..shards)
-        .map(|_| Arc::new(ArrayQueue::new(config.queue_depth)))
-        .collect();
-    let done = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
     let total_ops = records.len() as u64;
 
     // Partition the trace by owning producer (shard mod producers),
@@ -356,182 +391,43 @@ pub fn run(config: &EngineConfig, app: &str, records: Vec<TraceRecord>) -> Engin
         let shard = shard_of_line(rec.op.addr(), shards);
         feeds[shard % producers].push((i as u64, rec));
     }
+    // Open loop must put each record in flight at its scheduled instant;
+    // only closed loop may amortize.
+    let chunk = match config.pacing {
+        Pacing::Open { .. } => 1,
+        Pacing::Closed => config.batch.min(config.queue_depth),
+    };
 
-    let mut summaries: Vec<ShardSummary> = Vec::with_capacity(shards);
+    // Every shard still sees its subsequence of the trace in order (the
+    // determinism invariant): a shard is fed by exactly one producer and
+    // the staging buffers are FIFO.
     let mut stalls_by_shard = vec![0u64; shards];
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|id| {
-                let queue = Arc::clone(&queues[id]);
-                let done = Arc::clone(&done);
-                let mut ctrl = ShardController::new(
-                    id,
-                    shards,
-                    config.slots_per_shard,
-                    config.line_size,
-                    &config.key,
-                );
-                ctrl.set_fsm_policy(config.fsm);
-                ctrl.set_cache_policy(config.cache_policy);
-                ctrl.set_digest_mode(config.digest_mode);
-                ctrl.set_coalesce_window(config.coalesce);
-                if let Some(root) = &config.persist_dir {
-                    let opts = dewrite_persist::DurableOptions {
-                        epoch_writes: config.persist_epoch,
-                        checkpoint_epochs: 8,
-                        sync: config.persist_sync,
-                    };
-                    ctrl.attach_persistence(&root.join(format!("shard-{id:02}")), opts)
-                        .expect("attach shard metadata persistence");
-                }
-                let want_scrub = config.scrub;
-                let app = app.to_string();
-                scope.spawn(move || {
-                    let mut host = LatencyHistogram::new();
-                    let mut peak = 0usize;
-                    let mut depth_sum = 0u64;
-                    let mut samples = 0u64;
-                    let mut spins = 0u32;
-                    let mut buf: Vec<Request> = Vec::with_capacity(batch);
-                    loop {
-                        // One reserve CAS claims up to `batch` requests.
-                        let n = queue.pop_batch(&mut buf, batch);
-                        if n == 0 {
-                            if done.load(Ordering::Acquire) && queue.is_empty() {
-                                break;
-                            }
-                            backoff(&mut spins);
-                            continue;
-                        }
-                        spins = 0;
-                        // `len()` races with producer refills of the slots
-                        // this pop just freed; the instantaneous depth can
-                        // never actually exceed capacity, so clamp.
-                        let residual = queue.len();
-                        peak = peak.max((residual + n).min(queue.capacity()));
-                        depth_sum += residual as u64;
-                        samples += 1;
-                        for req in buf.drain(..) {
-                            let gap = req.rec.gap_instructions;
-                            match req.rec.op {
-                                TraceOp::Write { addr, data } => {
-                                    ctrl.submit_write(addr, &data, gap);
-                                }
-                                TraceOp::Read { addr } => {
-                                    ctrl.read(addr, gap);
-                                }
-                            }
-                            let now = start.elapsed().as_nanos() as u64;
-                            host.record(now.saturating_sub(req.issued_ns));
-                        }
-                    }
-                    ctrl.flush_writes();
-                    // End-of-drain durability point: flush the open WAL
-                    // epoch and checkpoint, so scrub sees no unflushed
-                    // epochs and the store recovers to the final state.
-                    ctrl.persist_checkpoint()
-                        .expect("shard metadata checkpoint at drain");
-                    let scrub = want_scrub.then(|| ctrl.scrub());
-                    ShardSummary {
-                        shard: id,
-                        fsm: ctrl.fsm_stats(),
-                        cache: ctrl.cache_stats(),
-                        ops: ctrl.ops(),
-                        dedup_rate: ctrl.dedup_rate(),
-                        report: ctrl.report(&app),
-                        host_latency: host,
-                        queue_depth_peak: peak,
-                        queue_depth_mean: if samples == 0 {
-                            0.0
-                        } else {
-                            depth_sum as f64 / samples as f64
-                        },
-                        producer_stall_ns: 0,
-                        scrub,
-                    }
-                })
-            })
-            .collect();
-
-        // Producers: each walks its slice of the trace in order and stages
-        // requests per shard, flushing `chunk` at a time — every shard
-        // still sees its subsequence of the trace in order (the
-        // determinism invariant), since a shard is fed by exactly one
-        // producer and the staging buffers are FIFO.
-        let producer_handles: Vec<_> = feeds
+        let svc = &svc;
+        let handles: Vec<_> = feeds
             .into_iter()
-            .map(|feed| {
-                let queues: Vec<Arc<ArrayQueue<Request>>> = queues.iter().map(Arc::clone).collect();
-                let pacing = config.pacing;
-                let queue_depth = config.queue_depth;
-                scope.spawn(move || -> Vec<u64> {
-                    let mut stalls = vec![0u64; shards];
-                    let mut staged: Vec<Vec<Request>> = (0..shards).map(|_| Vec::new()).collect();
-                    // Open loop must put each record in flight at its
-                    // scheduled instant; only closed loop may amortize.
-                    let chunk = match pacing {
-                        Pacing::Open { .. } => 1,
-                        Pacing::Closed => batch.min(queue_depth),
-                    };
-                    for (issued, rec) in feed {
-                        if let Pacing::Open { ops_per_sec } = pacing {
-                            let target_ns = (issued as f64 / ops_per_sec * 1e9) as u64;
-                            let mut spins = 0u32;
-                            while (start.elapsed().as_nanos() as u64) < target_ns {
-                                backoff(&mut spins);
-                            }
-                        }
-                        let shard = shard_of_line(rec.op.addr(), shards);
-                        staged[shard].push(Request {
-                            rec,
-                            issued_ns: start.elapsed().as_nanos() as u64,
-                        });
-                        if staged[shard].len() >= chunk {
-                            flush_to_queue(&queues[shard], &mut staged[shard], &mut stalls[shard]);
-                        }
-                    }
-                    for shard in 0..shards {
-                        flush_to_queue(&queues[shard], &mut staged[shard], &mut stalls[shard]);
-                    }
-                    stalls
-                })
-            })
+            .map(|feed| scope.spawn(move || produce(svc, config.pacing, chunk, feed)))
             .collect();
-
-        for h in producer_handles {
+        for h in handles {
             let stalls = h.join().expect("producer panicked");
-            for (shard, ns) in stalls.into_iter().enumerate() {
-                stalls_by_shard[shard] += ns;
+            for (total, ns) in stalls_by_shard.iter_mut().zip(stalls) {
+                *total += ns;
             }
         }
-        done.store(true, Ordering::Release);
-
-        for h in handles {
-            summaries.push(h.join().expect("shard worker panicked"));
-        }
     });
-    let wall_ns = start.elapsed().as_nanos() as u64;
 
-    // Fold in fixed shard order: bit-identical regardless of scheduling.
-    summaries.sort_by_key(|s| s.shard);
-    for s in &mut summaries {
+    let mut run = svc.shutdown();
+    for s in &mut run.shards {
         s.producer_stall_ns = stalls_by_shard[s.shard];
     }
-    let merged =
-        RunReport::merge_all(summaries.iter().map(|s| &s.report)).expect("at least one shard");
-    let processed: u64 = summaries.iter().map(|s| s.ops).sum();
-    assert_eq!(processed, total_ops, "no request may be lost");
-    EngineRun {
-        merged,
-        shards: summaries,
-        wall_ns,
-        ops: total_ops,
-    }
+    assert_eq!(run.ops, total_ops, "no request may be lost");
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardController;
     use dewrite_trace::{app_by_name, TraceGenerator};
 
     /// A small mcf-derived trace (warmup + `ops` records) and the line
@@ -632,25 +528,36 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_run_scrubs_clean_and_accounts_every_write() {
+    fn coalescing_merge_is_bit_identical_and_accounts_every_write() {
         let (records, lines) = trace(2_000, 64, 17); // small ws => rewrites
         let total = records.len();
-        let mut config = config_for(2, lines, total);
+        let mut config = config_for(4, lines, total);
         config.coalesce = 16;
         config.scrub = true;
-        let r = run(&config, "mcf", records);
-        assert_eq!(r.ops, total as u64);
-        for s in &r.shards {
-            assert!(matches!(s.scrub, Some(Ok(_))), "shard {} scrub", s.shard);
+        let mut reference: Option<String> = None;
+        for (batch, producers) in [(1usize, 1usize), (1, 4), (64, 1), (64, 4)] {
+            config.batch = batch;
+            config.producers = producers;
+            let r = run(&config, "mcf", records.clone());
+            assert_eq!(r.ops, total as u64);
+            for s in &r.shards {
+                assert!(matches!(s.scrub, Some(Ok(_))), "shard {} scrub", s.shard);
+            }
+            let b = &r.merged.base;
+            assert!(b.coalesced_writes > 0, "tight working set must coalesce");
+            assert_eq!(
+                b.writes_eliminated + b.coalesced_writes + r.merged.nvm_data_writes,
+                b.writes,
+                "every write dedups, coalesces, or stores"
+            );
+            assert_eq!(r.merged.write_latency.count(), b.writes);
+            let json = r.merged.to_json().to_string();
+            let want = reference.get_or_insert_with(|| json.clone());
+            assert_eq!(
+                *want, json,
+                "batch {batch} x producers {producers} changed the coalesced merge"
+            );
         }
-        let b = &r.merged.base;
-        assert!(b.coalesced_writes > 0, "tight working set must coalesce");
-        assert_eq!(
-            b.writes_eliminated + b.coalesced_writes + r.merged.nvm_data_writes,
-            b.writes,
-            "every write dedups, coalesces, or stores"
-        );
-        assert_eq!(r.merged.write_latency.count(), b.writes);
     }
 
     #[test]
@@ -704,20 +611,15 @@ mod tests {
     }
 
     #[test]
-    fn tree_fsm_merge_is_bit_identical_to_flat_across_shard_counts() {
+    fn tree_fsm_claims_once_per_stored_write_across_shard_counts() {
+        // Placement identity with the flat bitmap is proven per call by
+        // the FSM differential tests; here every shard scrubs clean and
+        // counts exactly one claim per stored write.
         let (records, lines) = trace(2_000, 256, 19);
         for shards in [1usize, 2, 4] {
             let mut config = config_for(shards, lines, records.len());
             config.scrub = true;
-            config.fsm = FsmPolicy::Flat;
-            let flat = run(&config, "mcf", records.clone());
-            config.fsm = FsmPolicy::Tree;
             let tree = run(&config, "mcf", records.clone());
-            assert_eq!(
-                flat.merged.to_json().to_string(),
-                tree.merged.to_json().to_string(),
-                "{shards} shards: tree FSM changed the simulated report"
-            );
             for s in &tree.shards {
                 assert!(matches!(s.scrub, Some(Ok(_))), "shard {} scrub", s.shard);
                 assert_eq!(
@@ -725,10 +627,6 @@ mod tests {
                     "every stored write is exactly one claim"
                 );
             }
-            assert!(
-                flat.shards.iter().all(|s| s.fsm == FsmStats::default()),
-                "the flat oracle reports no allocator stats"
-            );
         }
     }
 
@@ -836,17 +734,16 @@ mod tests {
         let (records, lines) = trace(2_000, 128, 23);
         let mut config = config_for(2, lines, records.len());
         config.scrub = true;
-        config.fsm = FsmPolicy::Flat;
-        let flat = run(&config, "mcf", records.clone());
+        let tree = run(&config, "mcf", records.clone());
         config.fsm = FsmPolicy::TreeWear;
         let wear = run(&config, "mcf", records);
         for s in &wear.shards {
             assert!(matches!(s.scrub, Some(Ok(_))), "shard {} scrub", s.shard);
         }
-        assert_eq!(wear.merged.base, flat.merged.base);
-        assert_eq!(wear.merged.dewrite, flat.merged.dewrite);
-        assert_eq!(wear.merged.cycles, flat.merged.cycles);
-        assert_eq!(wear.merged.nvm_data_writes, flat.merged.nvm_data_writes);
+        assert_eq!(wear.merged.base, tree.merged.base);
+        assert_eq!(wear.merged.dewrite, tree.merged.dewrite);
+        assert_eq!(wear.merged.cycles, tree.merged.cycles);
+        assert_eq!(wear.merged.nvm_data_writes, tree.merged.nvm_data_writes);
         let refills: u64 = wear.shards.iter().map(|s| s.fsm.refills).sum();
         assert!(
             refills >= 2,

@@ -1,36 +1,50 @@
-//! A long-running submission service over the shard controllers: the
-//! engine surface the network frontend plugs into.
+//! The engine's shard workers: the one loop that drains the per-shard
+//! queues, for the in-process [`run`](crate::run) and the network frontend
+//! alike.
 //!
-//! [`run`](crate::run) drives one fixed trace through the shards and
-//! returns; a served system instead needs an engine that outlives any one
-//! client, accepts work from *many* concurrent submitters, and sheds load
-//! instead of blocking the caller. [`EngineService`] provides exactly
-//! that:
+//! [`EngineService`] starts one worker thread per shard, each owning its
+//! [`ShardController`] exclusively, and accepts work from any number of
+//! submitters:
 //!
 //! * [`EngineService::try_submit`] is **non-blocking**: a full shard queue
 //!   hands the request straight back ([`Err`]) so an event loop can park
-//!   the connection instead of itself — the back-pressure signal the
-//!   in-process producer path never needed.
+//!   the connection instead of itself. [`EngineService::push_batch`]
+//!   submits a staged chunk with one reserve CAS and reports how much of
+//!   it fit; [`run`](crate::run) backs off on a full queue and retries.
 //! * Completions come back on per-*lane* bounded queues (one lane per
-//!   event-loop thread), carrying the submitter's `(conn, conn_seq)`
-//!   correlation tags so responses can be re-ordered per connection.
+//!   event-loop thread), one answer per operation, carrying the
+//!   submitter's `(conn, conn_seq)` correlation tags so responses can be
+//!   re-ordered per connection. A service started with **zero lanes**
+//!   answers nothing: the worker does no per-operation completion work,
+//!   and the submitter learns the outcome from [`EngineService::shutdown`]
+//!   (the in-process run checks that every submitted operation applied).
 //! * Control operations (scrub / flush-checkpoint / report) ride the same
 //!   queues with [`CONTROL_SEQ`], one per shard, and are aggregated by the
 //!   caller.
 //!
 //! # Determinism under concurrent submitters
 //!
-//! The in-process engine keeps the merged simulated [`RunReport`]
-//! bit-identical by feeding each shard its subsequence of the trace in
-//! order. A network frontend multiplexing thousands of sockets cannot
-//! guarantee arrival order, so the service moves the invariant into the
-//! protocol: every data request carries a **per-shard sequence number**
-//! (`seq` = the record's index within its shard's subsequence of the
-//! trace), and each shard worker holds a bounded reorder buffer, applying
-//! requests strictly in `seq` order. Any interleaving of connections,
-//! lanes, and scheduling therefore replays each shard's exact trace
-//! subsequence — the merged report is a pure function of the trace again,
-//! no matter how the records travelled.
+//! The merged simulated [`RunReport`] stays bit-identical because each
+//! shard applies its subsequence of the trace in order. A network frontend
+//! multiplexing thousands of sockets cannot guarantee arrival order, so
+//! the invariant lives in the protocol: every data request carries a
+//! **per-shard sequence number** (`seq` = the record's index within its
+//! shard's subsequence of the trace), and each shard worker holds a
+//! bounded reorder buffer, applying requests strictly in `seq` order. A
+//! request that arrives in order while the buffer is empty — every request
+//! of the in-process run — applies directly, without touching the buffer.
+//! Any interleaving of connections, lanes, and scheduling therefore
+//! replays each shard's exact trace subsequence: the merged report is a
+//! pure function of the trace, no matter how the records travelled.
+//!
+//! # Drain
+//!
+//! [`EngineService::shutdown`] is the one end of a run. Each worker drains
+//! its queue, then, in order: flushes parked coalesced writes, checkpoints
+//! and syncs attached persistence
+//! ([`ShardController::persist_shutdown`]), and scrubs the shard's tables
+//! into [`ShardSummary::scrub`] when [`EngineConfig::scrub`] is set. The
+//! per-shard summaries fold in shard order.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,13 +99,14 @@ pub struct ServiceRequest {
     /// Position within the shard's subsequence of the trace, or
     /// [`CONTROL_SEQ`] for control operations.
     pub seq: u64,
-    /// Completion lane the response should come back on.
+    /// Completion lane the response should come back on (ignored by a
+    /// service with no lanes).
     pub lane: usize,
     /// Submitter's connection tag, echoed in the completion.
     pub conn: u64,
     /// Submitter's per-connection sequence tag, echoed in the completion.
     pub conn_seq: u64,
-    /// Nanoseconds since service start when the request was accepted
+    /// Nanoseconds since service start when the request was issued
     /// (host-latency accounting; quarantined from the simulated report).
     pub issued_ns: u64,
     /// The operation.
@@ -101,7 +116,12 @@ pub struct ServiceRequest {
 /// What a completed operation produced.
 #[derive(Debug)]
 pub enum CompletionBody {
-    /// A write completed.
+    /// A write completed. With a coalescing window
+    /// ([`EngineConfig::coalesce`]) a write the buffer parks or absorbs is
+    /// answered when the shard accepts it, like a posted write: the answer
+    /// carries `eliminated: false` and `sim_ns: 0`, and the write's
+    /// outcome lands in the shard's report when it drains (or, absorbed by
+    /// a newer write to its line, as a coalesced write).
     Write {
         /// Whether the NVM array write was eliminated (confirmed dup).
         eliminated: bool,
@@ -141,7 +161,7 @@ pub struct Completion {
 /// rejecting new ones, as a multiple of the queue depth.
 const REORDER_WINDOW_FACTOR: usize = 4;
 
-/// The long-running sharded engine service. See the module docs.
+/// The sharded engine: one worker thread per shard. See the module docs.
 #[derive(Debug)]
 pub struct EngineService {
     queues: Vec<Arc<ArrayQueue<ServiceRequest>>>,
@@ -155,24 +175,22 @@ pub struct EngineService {
 
 impl EngineService {
     /// Start one worker thread per shard, plus `lanes` bounded completion
-    /// queues of `lane_capacity` entries each.
+    /// queues of `lane_capacity` entries each. With `lanes == 0` the
+    /// service answers no operation (see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics on an invalid config: zero shards/lanes/capacities, or a
-    /// non-zero coalescing window (the service path needs an immediate
-    /// completion per operation).
+    /// Panics on an invalid config: zero shards, queue depth or batch, a
+    /// zero lane capacity with lanes, or a persistence directory that
+    /// cannot be set up.
     pub fn start(config: &EngineConfig, app: &str, lanes: usize, lane_capacity: usize) -> Self {
         let shards = config.shards;
         assert!(shards > 0, "need at least one shard");
-        assert!(lanes > 0, "need at least one completion lane");
         assert!(config.queue_depth > 0, "queues must hold a request");
         assert!(config.batch > 0, "workers must drain a request");
-        assert!(lane_capacity > 0, "completion lanes must hold an entry");
-        assert_eq!(
-            config.coalesce, 0,
-            "the service path requires per-operation completions; \
-             coalescing parks writes without one"
+        assert!(
+            lanes == 0 || lane_capacity > 0,
+            "completion lanes must hold an entry"
         );
 
         let queues: Vec<Arc<ArrayQueue<ServiceRequest>>> = (0..shards)
@@ -187,11 +205,6 @@ impl EngineService {
 
         let workers = (0..shards)
             .map(|id| {
-                let queue = Arc::clone(&queues[id]);
-                let lanes: Vec<Arc<ArrayQueue<Completion>>> =
-                    lane_queues.iter().map(Arc::clone).collect();
-                let stop = Arc::clone(&stop);
-                let hard = Arc::clone(&hard);
                 let mut ctrl = ShardController::new(
                     id,
                     shards,
@@ -202,6 +215,7 @@ impl EngineService {
                 ctrl.set_fsm_policy(config.fsm);
                 ctrl.set_cache_policy(config.cache_policy);
                 ctrl.set_digest_mode(config.digest_mode);
+                ctrl.set_coalesce_window(config.coalesce);
                 if let Some(root) = &config.persist_dir {
                     let opts = dewrite_persist::DurableOptions {
                         epoch_writes: config.persist_epoch,
@@ -211,23 +225,22 @@ impl EngineService {
                     ctrl.attach_persistence(&root.join(format!("shard-{id:02}")), opts)
                         .expect("attach shard metadata persistence");
                 }
-                let app = app.to_string();
-                let batch = config.batch;
-                let reorder_cap = config.queue_depth * REORDER_WINDOW_FACTOR;
-                std::thread::spawn(move || {
-                    worker(
-                        id,
-                        ctrl,
-                        &app,
-                        &queue,
-                        &lanes,
-                        &stop,
-                        &hard,
-                        batch,
-                        reorder_cap,
-                        start,
-                    )
-                })
+                let worker = Worker {
+                    ctrl,
+                    app: app.to_string(),
+                    queue: Arc::clone(&queues[id]),
+                    answers: Answers {
+                        shard: id,
+                        lanes: lane_queues.iter().map(Arc::clone).collect(),
+                        hard: Arc::clone(&hard),
+                    },
+                    stop: Arc::clone(&stop),
+                    batch: config.batch,
+                    reorder_cap: config.queue_depth * REORDER_WINDOW_FACTOR,
+                    scrub: config.scrub,
+                    start,
+                };
+                std::thread::spawn(move || worker.run())
             })
             .collect();
 
@@ -270,8 +283,24 @@ impl EngineService {
     /// Panics if `request.shard` or `request.lane` is out of range.
     pub fn try_submit(&self, request: ServiceRequest) -> Result<(), ServiceRequest> {
         assert!(request.shard < self.shards, "shard out of range");
-        assert!(request.lane < self.lanes.len(), "lane out of range");
+        assert!(
+            self.lanes.is_empty() || request.lane < self.lanes.len(),
+            "lane out of range"
+        );
         self.queues[request.shard].push(request)
+    }
+
+    /// Submit the front of `requests`, in order, to `shard`'s queue with
+    /// one reserve CAS per free run, without blocking. Returns how many
+    /// were taken off the front of `requests`; 0 means the queue is full.
+    /// Every request must belong to `shard`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn push_batch(&self, shard: usize, requests: &mut Vec<ServiceRequest>) -> usize {
+        debug_assert!(requests.iter().all(|r| r.shard == shard));
+        self.queues[shard].push_batch(requests)
     }
 
     /// Pop one completion from `lane`, if any is ready.
@@ -289,9 +318,9 @@ impl EngineService {
     }
 
     /// Graceful shutdown: drain every shard queue, flush parked writes,
-    /// flush the open WAL epoch, checkpoint, and sync the stores (when
-    /// persistence is attached), then fold the per-shard reports in shard
-    /// order — the same deterministic merge as [`run`](crate::run).
+    /// checkpoint and sync attached persistence, scrub when the config
+    /// asks for it, then fold the per-shard reports in shard order — a
+    /// merge that is bit-identical regardless of scheduling.
     ///
     /// The caller must have collected all outstanding completions first;
     /// any left in the lanes are dropped with the service.
@@ -332,26 +361,50 @@ impl EngineService {
     }
 }
 
-/// Push `completion` onto its lane, parking while the lane is full.
-/// Returns `false` when a hard abort interrupted the wait.
-fn emit(
-    lanes: &[Arc<ArrayQueue<Completion>>],
-    hard: &AtomicBool,
-    mut completion: Completion,
-    lane: usize,
-) -> bool {
-    let mut parker = Backoff::new();
-    loop {
-        if hard.load(Ordering::Acquire) {
-            return false;
+/// A worker's way back to its submitters: the completion lanes.
+struct Answers {
+    shard: usize,
+    lanes: Vec<Arc<ArrayQueue<Completion>>>,
+    hard: Arc<AtomicBool>,
+}
+
+impl Answers {
+    /// Push the answer for `(conn, conn_seq)` onto `lane`, parking while
+    /// the lane is full; a no-op for a service with no lanes. Returns
+    /// `false` when a hard abort interrupted the wait.
+    fn send(&self, lane: usize, conn: u64, conn_seq: u64, body: CompletionBody) -> bool {
+        if self.lanes.is_empty() {
+            return true;
         }
-        match lanes[lane].push(completion) {
-            Ok(()) => return true,
-            Err(back) => {
-                completion = back;
-                parker.wait();
+        let mut completion = Completion {
+            shard: self.shard,
+            conn,
+            conn_seq,
+            body,
+        };
+        let mut parker = Backoff::new();
+        loop {
+            if self.hard.load(Ordering::Acquire) {
+                return false;
+            }
+            match self.lanes[lane].push(completion) {
+                Ok(()) => return true,
+                Err(back) => {
+                    completion = back;
+                    parker.wait();
+                }
             }
         }
+    }
+
+    /// Reject `req` with `why`.
+    fn reject(&self, req: &ServiceRequest, why: String) -> bool {
+        self.send(
+            req.lane,
+            req.conn,
+            req.conn_seq,
+            CompletionBody::Rejected(why),
+        )
     }
 }
 
@@ -359,13 +412,12 @@ fn emit(
 fn apply_data(ctrl: &mut ShardController, op: ServiceOp) -> CompletionBody {
     match op {
         ServiceOp::Write { addr, data, gap } => {
-            let w = ctrl
+            // `None`: the coalescing buffer parked or absorbed the write,
+            // answered as posted (see `CompletionBody::Write`).
+            let (eliminated, sim_ns) = ctrl
                 .submit_write(addr, &data, gap)
-                .expect("service runs without coalescing");
-            CompletionBody::Write {
-                eliminated: w.eliminated,
-                sim_ns: w.sim_ns,
-            }
+                .map_or((false, 0), |w| (w.eliminated, w.sim_ns));
+            CompletionBody::Write { eliminated, sim_ns }
         }
         ServiceOp::Read { addr, gap } => CompletionBody::Read {
             sim_ns: ctrl.read(addr, gap),
@@ -400,153 +452,154 @@ fn apply_control(ctrl: &mut ShardController, app: &str, op: &ServiceOp) -> Compl
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    id: usize,
-    mut ctrl: ShardController,
-    app: &str,
-    queue: &ArrayQueue<ServiceRequest>,
-    lanes: &[Arc<ArrayQueue<Completion>>],
-    stop: &AtomicBool,
-    hard: &AtomicBool,
+/// One shard's worker: its controller, its queue, and its answers.
+struct Worker {
+    ctrl: ShardController,
+    app: String,
+    queue: Arc<ArrayQueue<ServiceRequest>>,
+    answers: Answers,
+    stop: Arc<AtomicBool>,
     batch: usize,
     reorder_cap: usize,
+    scrub: bool,
     start: Instant,
-) -> ShardSummary {
-    let mut host = LatencyHistogram::new();
-    let mut reorder: BTreeMap<u64, ServiceRequest> = BTreeMap::new();
-    let mut next_seq = 0u64;
-    let mut peak = 0usize;
-    let mut depth_sum = 0u64;
-    let mut samples = 0u64;
-    let mut parker = Backoff::new();
-    let mut buf: Vec<ServiceRequest> = Vec::with_capacity(batch);
-    let mut aborted = false;
+}
 
-    'outer: loop {
-        if hard.load(Ordering::Acquire) {
-            aborted = true;
-            break;
-        }
-        let n = queue.pop_batch(&mut buf, batch);
-        if n == 0 {
-            if stop.load(Ordering::Acquire) && queue.is_empty() {
-                break;
-            }
-            parker.wait();
-            continue;
-        }
-        parker.reset();
-        let residual = queue.len();
-        peak = peak.max((residual + n).min(queue.capacity()));
-        depth_sum += residual as u64;
-        samples += 1;
-        for req in buf.drain(..) {
-            let (lane, conn, conn_seq) = (req.lane, req.conn, req.conn_seq);
-            let body = if req.seq == CONTROL_SEQ {
-                apply_control(&mut ctrl, app, &req.op)
-            } else if req.seq < next_seq {
-                CompletionBody::Rejected(format!(
-                    "duplicate sequence {} (shard already at {next_seq})",
-                    req.seq
-                ))
-            } else if req.seq > next_seq && reorder.len() >= reorder_cap {
-                CompletionBody::Rejected(format!(
-                    "reorder window overflow holding {} requests waiting for sequence {next_seq}",
-                    reorder.len()
-                ))
-            } else {
-                // In order or buffered: apply every request that is now
-                // ready, strictly in per-shard sequence order.
-                if let Some(old) = reorder.insert(req.seq, req) {
-                    let done = Completion {
-                        shard: id,
-                        conn: old.conn,
-                        conn_seq: old.conn_seq,
-                        body: CompletionBody::Rejected(format!(
-                            "sequence {} resubmitted before it applied",
-                            old.seq
-                        )),
-                    };
-                    if !emit(lanes, hard, done, old.lane) {
-                        aborted = true;
-                        break 'outer;
-                    }
-                }
-                while let Some(ready) = reorder.remove(&next_seq) {
-                    next_seq += 1;
-                    let (lane, conn, conn_seq) = (ready.lane, ready.conn, ready.conn_seq);
-                    let issued = ready.issued_ns;
-                    let body = apply_data(&mut ctrl, ready.op);
-                    let now = start.elapsed().as_nanos() as u64;
-                    host.record(now.saturating_sub(issued));
-                    let done = Completion {
-                        shard: id,
-                        conn,
-                        conn_seq,
-                        body,
-                    };
-                    if !emit(lanes, hard, done, lane) {
-                        aborted = true;
-                        break 'outer;
-                    }
-                }
-                continue;
-            };
-            let done = Completion {
-                shard: id,
-                conn,
-                conn_seq,
-                body,
-            };
-            if !emit(lanes, hard, done, lane) {
-                aborted = true;
-                break 'outer;
-            }
-        }
+impl Worker {
+    /// Apply one data request that is next in its shard's sequence,
+    /// record its host latency, and answer it.
+    fn apply(&mut self, host: &mut LatencyHistogram, req: ServiceRequest) -> bool {
+        let (lane, conn, conn_seq) = (req.lane, req.conn, req.conn_seq);
+        let body = apply_data(&mut self.ctrl, req.op);
+        let now = self.start.elapsed().as_nanos() as u64;
+        host.record(now.saturating_sub(req.issued_ns));
+        self.answers.send(lane, conn, conn_seq, body)
     }
 
-    if !aborted {
-        // A populated reorder buffer at graceful shutdown is a submitter
-        // that left a sequence gap; its requests can never legally apply.
-        for (_, req) in std::mem::take(&mut reorder) {
-            let done = Completion {
-                shard: id,
-                conn: req.conn,
-                conn_seq: req.conn_seq,
-                body: CompletionBody::Rejected(format!(
+    /// Drain the queue until shutdown (or abort), then run the drain and
+    /// summarize the shard.
+    fn run(mut self) -> ShardSummary {
+        let id = self.answers.shard;
+        let mut host = LatencyHistogram::new();
+        let mut reorder: BTreeMap<u64, ServiceRequest> = BTreeMap::new();
+        let mut next_seq = 0u64;
+        let mut peak = 0usize;
+        let mut depth_sum = 0u64;
+        let mut samples = 0u64;
+        let mut parker = Backoff::new();
+        let mut buf: Vec<ServiceRequest> = Vec::with_capacity(self.batch);
+        let mut aborted = false;
+
+        'outer: loop {
+            if self.answers.hard.load(Ordering::Acquire) {
+                aborted = true;
+                break;
+            }
+            // One reserve CAS claims up to `batch` requests.
+            let n = self.queue.pop_batch(&mut buf, self.batch);
+            if n == 0 {
+                if self.stop.load(Ordering::Acquire) && self.queue.is_empty() {
+                    break;
+                }
+                parker.wait();
+                continue;
+            }
+            parker.reset();
+            // `len()` races with submitter refills of the slots this pop
+            // just freed; the instantaneous depth can never actually
+            // exceed capacity, so clamp.
+            let residual = self.queue.len();
+            peak = peak.max((residual + n).min(self.queue.capacity()));
+            depth_sum += residual as u64;
+            samples += 1;
+            for req in buf.drain(..) {
+                let answered = if req.seq == next_seq && reorder.is_empty() {
+                    // In order with nothing buffered: apply directly.
+                    next_seq += 1;
+                    self.apply(&mut host, req)
+                } else if req.seq == CONTROL_SEQ {
+                    let body = apply_control(&mut self.ctrl, &self.app, &req.op);
+                    self.answers.send(req.lane, req.conn, req.conn_seq, body)
+                } else if req.seq < next_seq {
+                    let why = format!(
+                        "duplicate sequence {} (shard already at {next_seq})",
+                        req.seq
+                    );
+                    self.answers.reject(&req, why)
+                } else if req.seq > next_seq && reorder.len() >= self.reorder_cap {
+                    let why = format!(
+                        "reorder window overflow holding {} requests waiting for sequence {next_seq}",
+                        reorder.len()
+                    );
+                    self.answers.reject(&req, why)
+                } else {
+                    // Out of order: buffer, then apply every request that
+                    // is now ready, strictly in per-shard sequence order.
+                    let mut answered = match reorder.insert(req.seq, req) {
+                        Some(old) => {
+                            let why = format!("sequence {} resubmitted before it applied", old.seq);
+                            self.answers.reject(&old, why)
+                        }
+                        None => true,
+                    };
+                    while answered {
+                        let Some(ready) = reorder.remove(&next_seq) else {
+                            break;
+                        };
+                        next_seq += 1;
+                        answered = self.apply(&mut host, ready);
+                    }
+                    answered
+                };
+                if !answered {
+                    aborted = true;
+                    break 'outer;
+                }
+            }
+        }
+
+        let mut scrub = None;
+        if !aborted {
+            // A populated reorder buffer at graceful shutdown is a
+            // submitter that left a sequence gap; its requests can never
+            // legally apply.
+            for (_, req) in std::mem::take(&mut reorder) {
+                let why = format!(
                     "sequence gap at shutdown: shard waited for {next_seq}, held {}",
                     req.seq
-                )),
-            };
-            if !emit(lanes, hard, done, req.lane) {
-                break;
+                );
+                if !self.answers.reject(&req, why) {
+                    break;
+                }
             }
+            self.ctrl.flush_writes();
+            // End-of-run durability point: flush the open WAL epoch,
+            // checkpoint, and force the store to stable storage even when
+            // the run logged with `sync: false`. Scrub then sees no
+            // unflushed epochs, and the store recovers to the final state.
+            self.ctrl
+                .persist_shutdown()
+                .expect("shard metadata checkpoint at shutdown");
+            scrub = self.scrub.then(|| self.ctrl.scrub());
         }
-        ctrl.flush_writes();
-        // End-of-service durability point: flush the open WAL epoch,
-        // checkpoint, and force the store to stable storage even when the
-        // run logged with `sync: false`.
-        ctrl.persist_shutdown()
-            .expect("shard metadata checkpoint at shutdown");
-    }
 
-    ShardSummary {
-        shard: id,
-        fsm: ctrl.fsm_stats(),
-        cache: ctrl.cache_stats(),
-        ops: ctrl.ops(),
-        dedup_rate: ctrl.dedup_rate(),
-        report: ctrl.report(app),
-        host_latency: host,
-        queue_depth_peak: peak,
-        queue_depth_mean: if samples == 0 {
-            0.0
-        } else {
-            depth_sum as f64 / samples as f64
-        },
-        producer_stall_ns: 0,
-        scrub: None,
+        ShardSummary {
+            shard: id,
+            fsm: self.ctrl.fsm_stats(),
+            cache: self.ctrl.cache_stats(),
+            ops: self.ctrl.ops(),
+            dedup_rate: self.ctrl.dedup_rate(),
+            report: self.ctrl.report(&self.app),
+            host_latency: host,
+            queue_depth_peak: peak,
+            queue_depth_mean: if samples == 0 {
+                0.0
+            } else {
+                depth_sum as f64 / samples as f64
+            },
+            producer_stall_ns: 0,
+            scrub,
+        }
     }
 }
 
@@ -567,11 +620,17 @@ mod tests {
         (records, lines)
     }
 
-    /// Feed `records` through the service as one submitter, in an order
-    /// perturbed by `rotate` (simulating cross-connection interleaving),
-    /// stamping correct per-shard sequence numbers.
-    fn drive(config: &EngineConfig, records: &[TraceRecord], rotate: usize) -> EngineRun {
-        let svc = EngineService::start(config, "mcf", 1, 1024);
+    /// Feed `records` through a service with `lanes` completion lanes (0
+    /// or 1) as one submitter, in an order perturbed by `rotate`
+    /// (simulating cross-connection interleaving), stamping correct
+    /// per-shard sequence numbers.
+    fn drive(
+        config: &EngineConfig,
+        records: &[TraceRecord],
+        rotate: usize,
+        lanes: usize,
+    ) -> EngineRun {
+        let svc = EngineService::start(config, "mcf", lanes, 1024);
         let shards = svc.shards();
         let mut seqs = vec![0u64; shards];
         let mut reqs: Vec<ServiceRequest> = records
@@ -611,31 +670,32 @@ mod tests {
             }
         }
         let total = reqs.len() as u64;
-        let mut pending = 0u64;
-        let mut completed = 0u64;
+        let (mut submitted, mut answered) = (0u64, 0u64);
         let mut it = reqs.into_iter();
         let mut held: Option<ServiceRequest> = None;
-        while completed < total {
+        while answered < total {
             if held.is_none() {
                 held = it.next();
             }
             if let Some(req) = held.take() {
-                if let Err(back) = svc.try_submit(req) {
-                    held = Some(back);
-                } else {
-                    pending += 1;
+                match svc.try_submit(req) {
+                    Ok(()) => submitted += 1,
+                    Err(back) => held = Some(back),
                 }
+            }
+            if lanes == 0 {
+                // No answers: the drain at shutdown shows the work done.
+                answered = submitted;
+                continue;
             }
             while let Some(c) = svc.try_complete(0) {
                 match c.body {
                     CompletionBody::Write { .. } | CompletionBody::Read { .. } => {}
                     other => panic!("unexpected completion {other:?}"),
                 }
-                completed += 1;
-                pending -= 1;
+                answered += 1;
             }
         }
-        assert_eq!(pending, 0);
         svc.shutdown()
     }
 
@@ -645,12 +705,36 @@ mod tests {
         let config = EngineConfig::for_workload(4, 256, lines, records.len() as u64);
         let baseline = run(&config, "mcf", records.clone());
         for rotate in [1, 7] {
-            let served = drive(&config, &records, rotate);
+            let served = drive(&config, &records, rotate, 1);
             assert_eq!(served.ops, baseline.ops);
             assert_eq!(
                 baseline.merged.to_json().to_string(),
                 served.merged.to_json().to_string(),
                 "rotate {rotate}: out-of-order submission changed the merged report"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_lane_service_drains_to_the_one_lane_reports_and_scrubs() {
+        let (records, lines) = trace(2_000, 512, 7);
+        let mut config = EngineConfig::for_workload(4, 256, lines, records.len() as u64);
+        let answered = drive(&config, &records, 7, 1);
+        config.scrub = true;
+        let silent = drive(&config, &records, 7, 0);
+        assert_eq!(silent.ops, records.len() as u64);
+        for (a, b) in answered.shards.iter().zip(&silent.shards) {
+            assert_eq!(
+                a.report.to_json().to_string(),
+                b.report.to_json().to_string(),
+                "shard {}: answers changed the report",
+                a.shard
+            );
+            assert!(a.scrub.is_none(), "scrub is off by default");
+            assert!(
+                matches!(b.scrub, Some(Ok(n)) if n > 0),
+                "shard {} scrub",
+                b.shard
             );
         }
     }

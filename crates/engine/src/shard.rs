@@ -11,10 +11,10 @@
 //! * an **address map** + **colocated CME counters**, sharded by line
 //!   address — every write resolves on one shard because allocation is
 //!   home-local;
-//! * a lock-free free-space map — the hierarchical [`FsmTree`] by default
-//!   (per-chunk counters skip drained regions; placement-identical to the
-//!   flat scan), the flat [`AtomicBitmap`] as differential oracle, or the
-//!   reservation + wear-rotation mode, selected by [`FsmPolicy`];
+//! * a lock-free free-space map — the hierarchical [`FsmTree`], either
+//!   home-preferring (per-chunk counters skip drained regions; placement
+//!   identical to a flat bitmap scan) or in reservation + wear-rotation
+//!   mode, selected by [`FsmPolicy`];
 //! * a metadata cache and a 3-bit [`HistoryPredictor`].
 //!
 //! All methods take `&mut self`: concurrency comes from shard ownership
@@ -24,24 +24,23 @@
 
 use dewrite_core::tables::{HashEntry, HashTable, InvertedTable, MAX_REFERENCE};
 use dewrite_core::{
-    lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, HistoryPredictor, MetaOp, RunReport,
-    Snapshot, Stage, StageBreakdown, WriteEvent, WritePath,
+    lines_equal, BaseMetrics, DeWriteMetrics, DigestMode, Digester, HistoryPredictor, MetaOp,
+    RunReport, Snapshot, Stage, StageBreakdown, WriteEvent, WritePath, MAX_CANDIDATE_COMPARES,
 };
-use dewrite_crypto::{aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS};
-use dewrite_hashes::{HashAlgorithm, LineHasher, StrongKeyed, StrongScratch};
+use dewrite_crypto::{
+    aes_line_energy_pj, CounterModeEngine, LineCounter, AES_LINE_LATENCY_NS, OTP_XOR_LATENCY_NS,
+};
+use dewrite_hashes::HashAlgorithm;
 use dewrite_mem::{
     CacheConfig, CacheStats, LatencyHistogram, LatencyStats, MetadataCache, Replacement,
 };
 use dewrite_nvm::{
-    AtomicBitmap, EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr, Reservation,
+    EnergyBreakdown, EnergyParams, FsmStats, FsmTree, LineAddr, Reservation, Timing,
 };
 use dewrite_persist::{DurableOptions, EpochLog};
 
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-
-/// Candidate-compare cap per write (§III-B2: bounded verify cost).
-pub const MAX_CANDIDATE_COMPARES: usize = 4;
 
 /// Sentinel in the dense address map: address has no mapping.
 const SLOT_NONE: u64 = u64::MAX;
@@ -49,24 +48,20 @@ const SLOT_NONE: u64 = u64::MAX;
 /// Which free-space manager a shard runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsmPolicy {
-    /// The flat [`AtomicBitmap`] word scan — kept as the differential
-    /// oracle for the hierarchical allocator.
-    Flat,
     /// The hierarchical [`FsmTree`] in home-preference mode: per-chunk free
-    /// counters skip drained regions, and placement is **identical** to
-    /// `Flat` on the same occupancy, so simulated reports stay
-    /// bit-identical. The default.
+    /// counters skip drained regions, and placement is **identical** to a
+    /// flat [`AtomicBitmap`](dewrite_nvm::AtomicBitmap) scan on the same
+    /// occupancy (the differential tests' oracle). The default.
     #[default]
     Tree,
     /// [`FsmTree`] through a per-shard reservation with wear-aware chunk
     /// rotation: the cheapest claims and the flattest wear, but placement
-    /// (and therefore flip-bit/energy figures) differs from `Flat`.
+    /// (and therefore flip-bit/energy figures) differs from `Tree`.
     TreeWear,
 }
 
 /// The shard's free-space manager, dispatched by [`FsmPolicy`].
 enum ShardFsm {
-    Flat(AtomicBitmap),
     Tree(FsmTree),
     TreeWear(FsmTree, Reservation),
 }
@@ -74,7 +69,6 @@ enum ShardFsm {
 impl ShardFsm {
     fn new(policy: FsmPolicy, slots: u64) -> Self {
         match policy {
-            FsmPolicy::Flat => ShardFsm::Flat(AtomicBitmap::new(slots)),
             FsmPolicy::Tree => ShardFsm::Tree(FsmTree::new(slots)),
             FsmPolicy::TreeWear => ShardFsm::TreeWear(FsmTree::new(slots), Reservation::new()),
         }
@@ -82,7 +76,6 @@ impl ShardFsm {
 
     fn policy(&self) -> FsmPolicy {
         match self {
-            ShardFsm::Flat(_) => FsmPolicy::Flat,
             ShardFsm::Tree(_) => FsmPolicy::Tree,
             ShardFsm::TreeWear(..) => FsmPolicy::TreeWear,
         }
@@ -90,7 +83,6 @@ impl ShardFsm {
 
     fn allocate(&mut self, home: u64) -> Option<u64> {
         match self {
-            ShardFsm::Flat(b) => b.allocate(home),
             ShardFsm::Tree(t) => t.allocate(home),
             ShardFsm::TreeWear(t, r) => t.allocate_reserved(r),
         }
@@ -98,31 +90,26 @@ impl ShardFsm {
 
     fn release(&self, line: u64) -> bool {
         match self {
-            ShardFsm::Flat(b) => b.release(line),
             ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.release(line),
         }
     }
 
     fn free_lines(&self) -> u64 {
         match self {
-            ShardFsm::Flat(b) => b.free_lines(),
             ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.free_lines(),
         }
     }
 
     fn for_each_occupied<F: FnMut(u64)>(&self, f: F) {
         match self {
-            ShardFsm::Flat(b) => b.for_each_occupied(f),
             ShardFsm::Tree(t) | ShardFsm::TreeWear(t, _) => t.for_each_occupied(f),
         }
     }
 
-    /// Allocator counters; all-zero for the flat oracle, which does not
-    /// track them. `&mut` so the wear mode can drain the reservation's
-    /// locally accumulated counts first.
+    /// Allocator counters. `&mut` so the wear mode can drain the
+    /// reservation's locally accumulated counts first.
     fn stats(&mut self) -> FsmStats {
         match self {
-            ShardFsm::Flat(_) => FsmStats::default(),
             ShardFsm::Tree(t) => t.stats(),
             ShardFsm::TreeWear(t, r) => {
                 t.drain_reservation_stats(r);
@@ -132,16 +119,8 @@ impl ShardFsm {
     }
 }
 
-/// Simulated PCM array read latency, ns.
-const ARRAY_READ_NS: u64 = 75;
-/// Simulated PCM array write latency, ns.
-const ARRAY_WRITE_NS: u64 = 300;
 /// Metadata-cache hit / table update latency, ns.
 const META_NS: u64 = 1;
-/// Byte-compare latency per candidate, ns.
-const COMPARE_NS: u64 = 1;
-/// Final counter-mode XOR on the read path, ns.
-const OTP_XOR_NS: u64 = 1;
 
 /// What one write did, plus its simulated latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,14 +145,10 @@ pub struct ShardController {
     line_size: usize,
     slots: u64,
 
-    hasher: Box<dyn LineHasher>,
     crypt: CounterModeEngine,
-    /// Which digest keys the dedup index — see [`ShardController::set_digest_mode`].
-    digest_mode: DigestMode,
-    /// Strong keyed digest (per-run key derived from the memory-encryption
-    /// key) plus this shard's reusable scratch state, so the hot path never
-    /// allocates; `Some` iff the mode is [`DigestMode::StrongKeyed`].
-    strong: Option<(StrongKeyed, StrongScratch)>,
+    /// The digest keying the dedup index — see
+    /// [`ShardController::set_digest_mode`].
+    digester: Digester,
     /// The raw encryption key, kept to derive the strong digest key when
     /// the mode is switched after construction.
     key: [u8; 16],
@@ -250,10 +225,8 @@ impl ShardController {
             shards,
             line_size,
             slots,
-            hasher: HashAlgorithm::Crc32.hasher(),
             crypt: CounterModeEngine::new(key),
-            digest_mode: DigestMode::Crc32Verify,
-            strong: None,
+            digester: Digester::new(HashAlgorithm::Crc32, DigestMode::Crc32Verify, key),
             key: *key,
             hash: HashTable::new(),
             inverted: InvertedTable::new(slots),
@@ -399,14 +372,12 @@ impl ShardController {
             "cannot switch the digest mode after {} operations",
             self.ops
         );
-        self.digest_mode = mode;
-        self.strong = (mode == DigestMode::StrongKeyed)
-            .then(|| (StrongKeyed::derive(&self.key), StrongScratch::new()));
+        self.digester = Digester::new(HashAlgorithm::Crc32, mode, &self.key);
     }
 
     /// The shard's digest mode.
     pub fn digest_mode(&self) -> DigestMode {
-        self.digest_mode
+        self.digester.mode()
     }
 
     /// Metadata-cache counters (hits, misses, queue splits, filtered scan
@@ -415,8 +386,7 @@ impl ShardController {
         self.meta.stats()
     }
 
-    /// Allocator counters: claims, reservation refills, steals, scan steps
-    /// (all-zero under [`FsmPolicy::Flat`], which does not track them).
+    /// Allocator counters: claims, reservation refills, steals, scan steps.
     pub fn fsm_stats(&mut self) -> FsmStats {
         self.fsm.stats()
     }
@@ -545,7 +515,7 @@ impl ShardController {
                 self.shards,
                 self.slots,
                 self.line_size,
-                self.digest_mode,
+                self.digester.mode(),
             ),
             &snapshot,
             opts,
@@ -661,7 +631,7 @@ impl ShardController {
                 self.shards,
                 self.slots,
                 self.line_size,
-                self.digest_mode,
+                self.digester.mode(),
             ),
             lines,
             mappings,
@@ -691,39 +661,6 @@ impl ShardController {
                 .expect("checked above")
                 .checkpoint(&snapshot)
                 .expect("metadata checkpoint failed");
-        }
-    }
-
-    /// DeWrite's digest fold: XOR the CRC's two 32-bit halves.
-    fn fold_digest(d: u64) -> u32 {
-        (d ^ (d >> 32)) as u32
-    }
-
-    /// The index digest of `data` under the shard's digest mode: the folded
-    /// CRC-32 zero-extended (so crc32-verify probe sequences are identical
-    /// to the seed), or the 64-bit strong keyed tag.
-    fn compute_digest(&mut self, data: &[u8]) -> u64 {
-        match self.strong.as_mut() {
-            Some((strong, scratch)) => strong.digest_with(data, scratch),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// [`ShardController::compute_digest`] without `&mut self` (scrub path;
-    /// uses a throwaway scratch, off the hot path).
-    fn compute_digest_readonly(&self, data: &[u8]) -> u64 {
-        match self.strong.as_ref() {
-            Some((strong, _)) => strong.digest_with(data, &mut StrongScratch::new()),
-            None => u64::from(Self::fold_digest(self.hasher.digest(data))),
-        }
-    }
-
-    /// Modeled hardware cost of one digest under the shard's digest mode.
-    fn digest_cost(&self) -> dewrite_hashes::HashCost {
-        if self.strong.is_some() {
-            HashAlgorithm::StrongKeyed.cost()
-        } else {
-            self.hasher.cost()
         }
     }
 
@@ -818,10 +755,11 @@ impl ShardController {
         self.base.writes += 1;
 
         // Stage 1: fingerprint.
-        let digest_ns = self.digest_cost().latency_ns;
-        let digest = self.compute_digest(data);
+        let cost = self.digester.cost();
+        let digest = self.digester.digest(data);
+        let digest_ns = cost.latency_ns;
         self.base.hash_ops += 1;
-        self.energy.dedup_pj += self.digest_cost().energy_pj;
+        self.energy.dedup_pj += cost.energy_pj;
 
         // Stage 2: predict, then probe the hash-store cache.
         let predicted_dup = self.predictor.predict_duplicate();
@@ -831,7 +769,7 @@ impl ShardController {
         } else {
             self.base.meta_nvm_reads += 1;
             self.energy.nvm_read_pj += self.energy_params.read_line_pj;
-            ARRAY_READ_NS
+            Timing::PCM.read_ns
         };
         // PNA: on a cache miss with a non-duplicate prediction, skip the
         // in-NVM hash-table query entirely.
@@ -858,7 +796,7 @@ impl ShardController {
         let mut dup_slot: Option<u64> = None;
         if !pna_skip {
             let candidates = self.hash.candidates(digest);
-            if self.strong.is_some() {
+            if self.digester.mode() == DigestMode::StrongKeyed {
                 // Verify-free: a 64-bit keyed-tag match *is* the duplicate
                 // decision — accept the first unsaturated candidate with no
                 // array read, no decryption, no byte compare.
@@ -883,8 +821,8 @@ impl ShardController {
                     }
                     compared += 1;
                     self.base.verify_reads += 1;
-                    verify_ns += ARRAY_READ_NS;
-                    compare_ns += COMPARE_NS;
+                    verify_ns += Timing::PCM.read_ns;
+                    compare_ns += Timing::PCM.compare_ns;
                     self.energy.nvm_read_pj += self.energy_params.read_line_pj;
                     self.energy.dedup_pj += self.energy_params.compare_pj;
                     self.decrypt_slot(real.index());
@@ -994,7 +932,7 @@ impl ShardController {
             }
 
             event.set_stage(Stage::Encrypt, AES_LINE_LATENCY_NS);
-            event.set_stage(Stage::ArrayWrite, ARRAY_WRITE_NS);
+            event.set_stage(Stage::ArrayWrite, Timing::PCM.write_ns);
             event.set_stage(Stage::Metadata, META_NS);
             // Parallel path overlaps encryption with detection; direct path
             // serializes them.
@@ -1004,7 +942,7 @@ impl ShardController {
                 detection_ns + AES_LINE_LATENCY_NS
             };
             critical_ns = digest_ns + front_ns + META_NS;
-            sim_ns = critical_ns + ARRAY_WRITE_NS;
+            sim_ns = critical_ns + Timing::PCM.write_ns;
         }
 
         // The write updated dedup metadata either way; dirty the cached
@@ -1059,10 +997,10 @@ impl ShardController {
                     fold ^= u64::from_le_bytes(b);
                 }
                 self.read_sink ^= fold;
-                META_NS + ARRAY_READ_NS + OTP_XOR_NS
+                META_NS + Timing::PCM.read_ns + OTP_XOR_LATENCY_NS
             }
             // Never-written line: the array read happens, nothing to decrypt.
-            None => META_NS + ARRAY_READ_NS,
+            None => META_NS + Timing::PCM.read_ns,
         };
         self.read_latency.record(sim_ns);
         self.read_hist.record(sim_ns);
@@ -1169,7 +1107,7 @@ impl ShardController {
                 ));
             };
             self.decrypt_slot(slot);
-            let actual = self.compute_digest_readonly(&self.scratch);
+            let actual = self.digester.digest_readonly(&self.scratch);
             if actual != digest {
                 return Err(format!(
                     "shard {}: slot {slot} content digests to {actual:#x}, inverted row says {digest:#x}",

@@ -112,7 +112,7 @@ fn usage() -> ExitCode {
     eprintln!("  --producers N     submission threads; 0 = one per two shards [0]");
     eprintln!("  --out PATH        JSON output path [BENCH_engine.json]");
     eprintln!("  --persist-dir P   per-shard metadata WAL + checkpoints under P/<app>-s<N>/");
-    eprintln!("  --fsm P           free-space manager: flat | tree | tree-wear [tree]");
+    eprintln!("  --fsm P           free-space manager: tree | tree-wear [tree]");
     eprintln!("  --cache-policy P  metadata-cache eviction: lru | fifo | s3-fifo [lru];");
     eprintln!("                    in net mode the policy rides in the Hello handshake");
     eprintln!("  --digest-mode M   dedup digest: crc32-verify | strong-keyed [crc32-verify];");
@@ -186,7 +186,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--persist-dir" => o.persist_dir = Some(value()?),
             "--fsm" => {
                 o.fsm = match value()?.as_str() {
-                    "flat" => FsmPolicy::Flat,
                     "tree" => FsmPolicy::Tree,
                     "tree-wear" => FsmPolicy::TreeWear,
                     other => return Err(format!("--fsm: unknown policy {other:?}")),
@@ -925,7 +924,6 @@ fn main() -> ExitCode {
                     "fsm",
                     Json::Str(
                         match o.fsm {
-                            FsmPolicy::Flat => "flat",
                             FsmPolicy::Tree => "tree",
                             FsmPolicy::TreeWear => "tree-wear",
                         }
